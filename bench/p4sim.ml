@@ -3,10 +3,12 @@
     The differential harness (`newton p4 diff`) replays every packet
     through both targets; this bench pins how much slower the
     interpreter side is — the number that bounds differential-run
-    time in CI and locally.  Three shapes per query: the engine's
-    packets/s, the interpreter's packets/s over pre-synthesized wire
-    bytes, and the packet-synthesis ({!Newton_p4sim.Phv}) rate that a
-    differential run pays on top.
+    time in CI and locally.  Shapes per catalog query Q1-Q17: the
+    engine's packets/s, the interpreter's packets/s over
+    pre-synthesized wire bytes and its minor-heap words per packet;
+    plus, once, the packet-synthesis ({!Newton_p4sim.Phv}) rate that a
+    differential run pays on top.  The program is staged once and
+    instantiated per query, as the differential harness does.
 
     Results go to the table and a JSON artifact —
     out/bench_p4sim.json or the path in NEWTON_BENCH_P4SIM_JSON. *)
@@ -39,12 +41,15 @@ let run () =
   let synth_s = Unix.gettimeofday () -. t0 in
   let synth_pps = rate (List.length bytes) synth_s in
   let program =
-    Newton_p4sim.P4parse.parse (Newton_p4gen.Emit.program ())
+    Newton_p4sim.Interp.stage
+      (Newton_p4sim.P4parse.parse (Newton_p4gen.Emit.program ()))
   in
   let t =
     Common.T.create
-      ~aligns:[ Common.T.Left; Common.T.Right; Common.T.Right; Common.T.Right ]
-      [ "query"; "engine pps"; "interp pps"; "slowdown" ]
+      ~aligns:
+        [ Common.T.Left; Common.T.Right; Common.T.Right; Common.T.Right;
+          Common.T.Right ]
+      [ "query"; "engine pps"; "interp pps"; "slowdown"; "interp words/pkt" ]
   in
   let per_query =
     List.map
@@ -59,14 +64,18 @@ let run () =
         List.iter (Newton_runtime.Engine.process_packet engine) packets;
         let engine_s = Unix.gettimeofday () -. t0 in
         ignore (Newton_runtime.Engine.drain_reports engine);
-        let interp = Newton_p4sim.Interp.create program in
+        let interp = Newton_p4sim.Interp.instantiate program in
         Newton_p4sim.Interp.install interp
           (Newton_p4gen.Rules.entries_exn compiled);
+        let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         List.iter
           (fun b -> ignore (Newton_p4sim.Interp.run interp b))
           bytes;
         let interp_s = Unix.gettimeofday () -. t0 in
+        let words =
+          (Gc.minor_words () -. w0) /. float_of_int (max 1 (List.length bytes))
+        in
         let engine_pps = rate n engine_s in
         let interp_pps = rate (List.length bytes) interp_s in
         let slowdown = if interp_pps > 0.0 then engine_pps /. interp_pps else 0.0 in
@@ -77,10 +86,10 @@ let run () =
             Printf.sprintf "%.0f" engine_pps;
             Printf.sprintf "%.0f" interp_pps;
             Printf.sprintf "%.1fx" slowdown;
+            Printf.sprintf "%.1f" words;
           ];
-        (q, engine_pps, interp_pps, slowdown))
-      [ Newton_query.Catalog.q1 (); Newton_query.Catalog.q4 ();
-        Newton_query.Catalog.q12 () ]
+        (q, engine_pps, interp_pps, slowdown, words))
+      (Newton_query.Catalog.all () @ Newton_query.Catalog.extras ())
   in
   Common.T.print t;
   Common.note "phv synthesis: %.0f packets/s" synth_pps;
@@ -95,13 +104,14 @@ let run () =
         ( "queries",
           Obj
             (List.map
-               (fun (q, e, i, s) ->
+               (fun (q, e, i, s, w) ->
                  ( q.Newton_query.Ast.name,
                    Obj
                      [
                        ("engine_pps", Float e);
                        ("interp_pps", Float i);
                        ("slowdown", Float s);
+                       ("interp_minor_words_per_pkt", Float w);
                      ] ))
                per_query) );
       ]

@@ -184,14 +184,15 @@ let cmd_p4_emit =
 
 (* Replay a packet list through the differential harness for each
    query, printing one line per query; returns the number of queries
-   whose report multisets diverged (or had no rule encoding). *)
+   whose report multisets diverged and the number with no rule
+   encoding. *)
 let p4_replay ~layout ~verbose qs packets =
-  let bad = ref 0 in
+  let bad = ref 0 and unencoded = ref 0 in
   List.iter
     (fun q ->
       match Newton_p4sim.Diff.run_query ~layout q packets with
       | Error issue ->
-          incr bad;
+          incr unencoded;
           Printf.printf "Q%d: no rule encoding: %s\n" q.Query.id
             (Newton_p4gen.Rules.issue_to_string issue)
       | Ok r ->
@@ -202,7 +203,7 @@ let p4_replay ~layout ~verbose qs packets =
               (fun (why, n) -> Printf.printf "    skipped %dx: %s\n" n why)
               r.Newton_p4sim.Diff.skip_reasons)
     qs;
-  !bad
+  (!bad, !unencoded)
 
 let cmd_p4_run =
   let run ids profile flows seed attacks verbose trace_in trace_out stages
@@ -264,12 +265,14 @@ let cmd_p4_diff =
                  (make_trace ?trace_in ?trace_out profile flows seed attacks))
         in
         Printf.printf "corpus: %d packets\n" (List.length packets);
-        let bad = p4_replay ~layout ~verbose qs packets in
-        if bad > 0 then begin
-          Printf.eprintf "newton p4 diff: %d quer%s diverged\n" bad
-            (if bad = 1 then "y" else "ies");
-          exit 1
-        end
+        let bad, unencoded = p4_replay ~layout ~verbose qs packets in
+        let queries n = if n = 1 then "1 query" else Printf.sprintf "%d queries" n in
+        if bad > 0 then
+          Printf.eprintf "newton p4 diff: %s diverged\n" (queries bad);
+        if unencoded > 0 then
+          Printf.eprintf "newton p4 diff: %s had no rule encoding\n"
+            (queries unencoded);
+        if bad + unencoded > 0 then exit 1
   in
   let coverage_arg =
     Arg.(value & flag

@@ -1,4 +1,4 @@
-(** P4 emission feasibility (NA080, NA081, NA083).
+(** P4 emission feasibility (NA080, NA081, NA083, NA084).
 
     A checked intent ultimately deploys as table entries against the
     static program {!Newton_p4gen.Emit} writes; this pass surfaces —
@@ -16,7 +16,11 @@
       R whose keys a same-cell K rewrites — diverges from the
       simulator) (Error);
     - NA083: the query's state arrays exceed the static register file
-      (Error).
+      (Error);
+    - NA084: the placement reaches a stage the default single-switch
+      layout does not have (Info: a multi-switch deployment slices the
+      chain across switches, and [newton p4 emit --stages] can widen a
+      single program).
 
     The recirculation advisory this pass used to emit as NA082 (an
     overlap estimate from the ternary classifier patterns) is
@@ -29,7 +33,7 @@ let name = "p4"
 let doc =
   "P4 emission feasibility: key-descriptor and branch-bitmap capacity, \
    action-menu coverage, same-cell ordering, register-file fit"
-let codes = [ "NA080"; "NA081"; "NA083" ]
+let codes = [ "NA080"; "NA081"; "NA083"; "NA084" ]
 
 let issue_diag ~query (issue : Newton_p4gen.Rules.issue) =
   let open Newton_p4gen.Rules in
@@ -68,6 +72,15 @@ let issue_diag ~query (issue : Newton_p4gen.Rules.issue) =
         (Printf.sprintf
            "query needs %d state words but the register file holds %d" needed
            capacity)
+  | Stage_overflow { stage; stages; _ } ->
+      Diag.make ~code:"NA084" ~severity:Diag.Info ~span:(Diag.Stage stage)
+        ~query
+        ~hint:
+          (Printf.sprintf
+             "one emitted program has %d stages; deploy across switches or \
+              emit with a larger --stages"
+             stages)
+        msg
 
 (* Same-cell ordering hazards.  The emitted stage applies K, H, S, R, T
    in that fixed order per (stage, metadata set) cell; the simulator
@@ -127,5 +140,9 @@ let run (ctx : Pass.ctx) =
   | Some compiled -> (
       let query = ctx.query in
       match Newton_p4gen.Rules.entries compiled with
+      | Error (Newton_p4gen.Rules.Stage_overflow _ as issue) ->
+          (* every other issue is checked first, so the query is
+             otherwise encodable *)
+          issue_diag ~query issue :: cell_hazards ~query compiled
       | Error issue -> [ issue_diag ~query issue ]
       | Ok _ -> cell_hazards ~query compiled)

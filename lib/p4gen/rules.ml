@@ -6,7 +6,7 @@
 
     Translation is *total or refused*: every construct the compiler can
     produce either maps onto the static program's action menu or comes
-    back as a typed {!issue} (surfaced by the analyzer as NA080-NA083
+    back as a typed {!issue} (surfaced by the analyzer as NA080-NA084
     and by [newton check]) — never an exception, never a silently
     dropped match key.
 
@@ -52,6 +52,7 @@ type issue =
                              target : int * int * int }
   | Registers_exhausted of { needed : int; capacity : int }
   | Too_many_branches of { branches : int; limit : int }
+  | Stage_overflow of { branch : int; prim : int; stage : int; stages : int }
 
 let issue_to_string = function
   | Too_many_keys { branch; prim; count; limit } ->
@@ -78,6 +79,11 @@ let issue_to_string = function
       Printf.sprintf
         "%d branches; the pending bitmap / classifier product supports %d"
         branches limit
+  | Stage_overflow { branch; prim; stage; stages } ->
+      Printf.sprintf
+        "branch %d primitive %d is placed in stage %d; the layout has %d \
+         stages"
+        branch prim stage stages
 
 (** Maximum branches per intent expressible through the classifier
     product and the 16-bit pending bitmap. *)
@@ -493,7 +499,19 @@ let entries ?(class_id = 1) ?layout ?alloc (compiled : Compose.t) =
           acc slots)
       (Ok []) compiled.Compose.branches
   in
-  Ok (init @ resume @ recirc @ slot_rules)
+  (* checked last, so every other issue of the query still surfaces:
+     each slot's tables must exist in the layout's stages *)
+  match
+    List.find_opt
+      (fun (s : Ir.slot) -> s.Ir.stage >= layout.Emit.stages)
+      (List.concat (Array.to_list compiled.Compose.branches))
+  with
+  | Some s ->
+      Error
+        (Stage_overflow
+           { branch = s.Ir.branch; prim = s.Ir.prim; stage = s.Ir.stage;
+             stages = layout.Emit.stages })
+  | None -> Ok (init @ resume @ recirc @ slot_rules)
 
 (** [entries], raising [Invalid_argument] on a typed issue — for
     callers that already ran the analyzer gate. *)

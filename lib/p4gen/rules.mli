@@ -35,6 +35,8 @@ type issue =
     }
   | Registers_exhausted of { needed : int; capacity : int }
   | Too_many_branches of { branches : int; limit : int }
+  | Stage_overflow of { branch : int; prim : int; stage : int; stages : int }
+      (** the placement puts a module in a stage the layout lacks *)
 
 val issue_to_string : issue -> string
 

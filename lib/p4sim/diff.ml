@@ -114,6 +114,20 @@ let init_entry_matches pkt (ie : Newton_compiler.Ir.init_entry) =
     (fun (f, v, m) -> Packet.get pkt f land m = v)
     ie.Newton_compiler.Ir.ie_matches
 
+(* The emitted program depends only on the layout, so it is emitted,
+   parsed and staged once per layout and kept staged (not as text).
+   Each call instantiates it afresh: registers, entries and dedup state
+   never carry over between calls. *)
+let staged_programs = Hashtbl.create 2
+
+let staged_program layout =
+  match Hashtbl.find_opt staged_programs layout with
+  | Some p -> p
+  | None ->
+      let p = Interp.stage (P4parse.parse (Newton_p4gen.Emit.program ~layout ())) in
+      Hashtbl.replace staged_programs layout p;
+      p
+
 let run_query ?class_id ?(layout = Newton_p4gen.Emit.default_layout) query
     packets =
   let compiled = Newton_compiler.Compose.compile query in
@@ -127,9 +141,7 @@ let run_query ?class_id ?(layout = Newton_p4gen.Emit.default_layout) query
       in
       let _uid = Newton_runtime.Engine.install engine compiled in
       (* interpreted-P4 target *)
-      let interp =
-        Interp.create (P4parse.parse (Newton_p4gen.Emit.program ~layout ()))
-      in
+      let interp = Interp.instantiate (staged_program layout) in
       Interp.install interp rules;
       let pair =
         match query.Ast.combine with

@@ -29,10 +29,11 @@ val report_to_string : Newton_query.Report.t -> string
 val describe : outcome -> string
 
 (** Compile [query], install it on a fresh engine and a fresh
-    interpreter over the emitted program, replay [packets] (timestamp
-    order) through both, and collect reports.  Packets with no wire
-    encoding are skipped on both sides and counted.  [Error] when the
-    query has no rule encoding. *)
+    interpreter instance, replay [packets] (timestamp order) through
+    both, and collect reports.  The instance runs the program emitted
+    for [layout], which is parsed and staged on the first call for that
+    layout and reused afterwards (not domain-safe).  Packets with no wire encoding are skipped on both
+    sides and counted.  [Error] when the query has no rule encoding. *)
 val run_query :
   ?class_id:int ->
   ?layout:Newton_p4gen.Emit.layout ->

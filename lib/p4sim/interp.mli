@@ -2,7 +2,12 @@
     bytes into headers, runs the ingress apply block against
     runtime-installed table entries, models the register/hash/digest
     externs with the engine's exact semantics, and follows
-    [recirculate_preserving_field_list] loops. *)
+    [recirculate_preserving_field_list] loops.
+
+    A program is staged once ({!stage}): paths become slots of a flat
+    integer PHV and the parser, actions and apply block become closures
+    over it.  Instances ({!instantiate}) share the staged program and
+    own only their PHV, register file and table entries. *)
 
 exception Runtime_error of string
 exception Install_error of string
@@ -11,12 +16,26 @@ exception Install_error of string
     {!Runtime_error} (a rule-generation bug, not traffic-dependent). *)
 val max_passes : int
 
+(** A program staged for execution; immutable, shareable across
+    instances. *)
+type staged
+
+(** One running pipeline: PHV, register file and installed entries. *)
 type t
 
-(** Instantiate a parsed program: resolves the ingress control (the one
+(** Stage a parsed program: resolves the ingress control (the one
     carrying tables), header layouts, declared widths, registers and
-    the @field_list(1) preservation set.
+    the @field_list(1) preservation set, and compiles every statement.
+    Errors that depend on execution (unknown calls, malformed extern
+    arguments) are deferred to the packet that reaches them.
     @raise Runtime_error if the program has no control with tables. *)
+val stage : P4ast.program -> staged
+
+(** A fresh instance of a staged program: zeroed registers, no
+    entries. *)
+val instantiate : staged -> t
+
+(** [instantiate (stage program)]. *)
 val create : P4ast.program -> t
 
 (** Install controller rules (the {!Newton_p4gen.Rules} wire entries).

@@ -222,6 +222,32 @@ let test_sp_overhead_counted () =
   done;
   checkb "sp bytes accounted" true (Deploy.sp_overhead_ratio ctl > 0.0)
 
+(* A chain longer than one switch's 12 stages is what CQE slicing is
+   for: admission notes that a single default-layout P4 program cannot
+   host it (NA084, info) but still deploys it across switches. *)
+let test_long_intent_admitted_across_switches () =
+  let q =
+    Newton_query.Parser.parse ~id:42
+      "filter(proto == tcp) | map(dip) | reduce(dip, count) | \
+       filter(count > 5) | map(dip) | distinct(dip) | reduce(dip, count) | \
+       filter(count > 2) | map(sip) | distinct(sip) | reduce(sip, count) | \
+       filter(count > 1)"
+  in
+  let compiled = compile q in
+  checkb "longer than one switch" true
+    (compiled.Newton_compiler.Compose.stats.Newton_compiler.Compose.stages > 12);
+  let diags = Newton_analysis.Check.admission ~deployed:[] compiled in
+  checkb "NA084 noted" true
+    (List.exists (fun d -> d.Newton_analysis.Diag.code = "NA084") diags);
+  let ctl = Deploy.create (Topo.linear 3) in
+  (match Deploy.deploy_checked ~stages_per_switch:12 ctl compiled with
+  | Ok _ -> ()
+  | Error ds -> Alcotest.failf "refused:\n%s" (Newton_analysis.Check.explain ds));
+  match Deploy.deployments ctl with
+  | [ { Deploy.placement = Some p; _ } ] ->
+      checkb "sliced over several switches" true (Placement.num_slices p > 1)
+  | _ -> Alcotest.fail "expected one CQE deployment"
+
 let test_deploy_resilient_to_failure () =
   (* Deploy on a fat-tree, fail a link mid-trace: the rerouted traffic is
      still monitored (Algorithm 2 placed slices on all possible paths). *)
@@ -332,5 +358,7 @@ let suite =
     ("sole mode installs everywhere", `Quick, test_sole_mode_installs_everywhere);
     ("cqe flat vs sole linear", `Quick, test_cqe_messages_flat_sole_linear);
     ("sp overhead counted", `Quick, test_sp_overhead_counted);
+    ("long intent admitted across switches", `Quick,
+      test_long_intent_admitted_across_switches);
     ("deploy resilient to failure", `Quick, test_deploy_resilient_to_failure);
   ]

@@ -280,6 +280,28 @@ let test_entries_exn_raises_on_issue () =
        false
      with Invalid_argument _ -> true)
 
+let test_stage_overflow_is_typed () =
+  (* Q17's placement reaches stage 8: an 8-stage layout has no tables
+     there, so generation refuses it with a typed issue instead of
+     emitting entries for undeclared tables. *)
+  let layout = { Emit.default_layout with Emit.stages = 8 } in
+  let q17 = Newton_query.Catalog.q17 () in
+  (match Rules.entries ~layout (compile q17) with
+  | Error (Rules.Stage_overflow { stage; stages = 8; _ }) ->
+      checkb "stage beyond the layout" true (stage >= 8)
+  | Error i -> Alcotest.failf "unexpected issue: %s" (Rules.issue_to_string i)
+  | Ok _ -> Alcotest.fail "expected Stage_overflow");
+  checkb "default layout still encodes Q17" true
+    (Result.is_ok (Rules.entries (compile q17)));
+  (* the differential reports the refusal instead of raising *)
+  checkb "diff returns the issue" true
+    (match
+       Newton_p4sim.Diff.run_query ~layout q17
+         [ Newton_packet.Packet.make () ]
+     with
+    | Error (Rules.Stage_overflow _) -> true
+    | _ -> false)
+
 let test_shared_allocator_co_residency () =
   (* Two queries carved from one allocator never share state words. *)
   let alloc = Rules.allocator ~state_words:max_int Emit.default_layout in
@@ -324,5 +346,6 @@ let suite =
     ("descriptor encoding", `Quick, test_descriptor_encoding);
     ("registers exhausted is typed", `Quick, test_registers_exhausted_is_typed);
     ("entries_exn raises on issue", `Quick, test_entries_exn_raises_on_issue);
+    ("stage overflow is typed", `Quick, test_stage_overflow_is_typed);
     ("shared allocator co-residency", `Quick, test_shared_allocator_co_residency);
   ]

@@ -68,11 +68,22 @@ let test_malformed_document () =
   | _ -> Alcotest.fail "expected top-level issue"
 
 let test_rules_beyond_emitted_stages_flagged () =
-  (* A query whose stages exceed the emitted layout references tables
-     that do not exist — the validator catches the misdeployment. *)
   let small = { Emit.default_layout with Emit.stages = 3 } in
   let compiled = compile (Newton_query.Catalog.q4 ()) in
-  let issues = Validate.check_compiled ~layout:small compiled in
+  (* A query placed beyond the layout's stages has no rule encoding:
+     generation refuses it with a typed issue. *)
+  checkb "stage overflow refused at generation" true
+    (List.exists
+       (function
+         | Validate.Unemittable (Rules.Stage_overflow _) -> true | _ -> false)
+       (Validate.check_compiled ~layout:small compiled));
+  (* Rules generated for the full layout but deployed on the smaller
+     program reference tables that do not exist — the validator
+     catches the misdeployment. *)
+  let issues =
+    Validate.check ~program:(Emit.program ~layout:small ())
+      ~rules_json:(Rules.to_json (Rules.entries_exn compiled))
+  in
   checkb "stage overflow caught as unknown tables" true
     (List.exists (function Validate.Unknown_table _ -> true | _ -> false) issues)
 
